@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"sort"
@@ -1676,140 +1675,139 @@ func runE21(r *report) error {
 
 // --- E22 ---
 
-// runE22 quantifies the token-threaded interpreter fast path (ISSUE 10):
-// record-mode Mev/s for the legacy switch loop vs threaded dispatch
-// across the bench matrix, with the cross-dispatch identity assertions
-// inline — both dispatchers must emit bit-identical trace bytes, produce
-// the same output, and replay the same trace to the same digest. Results
-// land in BENCH_E22.json so later sessions can track the trajectory.
+// runE22 measures the interpreter in every recording mode: VM.Run Mev/s
+// with recording off, to a flat trace, into the flight ring and into a
+// rotating journal, across the bench matrix. All four run the same
+// token-threaded loop. It then checks every mode against the golden
+// corpus: each pinned run must reproduce its digest, events, switches,
+// output and final state whatever it records into, and the flat trace
+// must match its pinned bytes and replay to the pinned digest. Results
+// land in BENCH_E22.json.
 func runE22(r *report) error {
 	type row struct {
-		Workload     string  `json:"workload"`
-		Events       uint64  `json:"events"`
-		MevsLegacy   float64 `json:"mevs_legacy"`
-		MevsFast     float64 `json:"mevs_fast"`
-		Speedup      float64 `json:"speedup"`
-		TraceBytes   int     `json:"trace_bytes"`
-		ReplayDigest string  `json:"replay_digest"`
+		Workload    string  `json:"workload"`
+		Events      uint64  `json:"events"`
+		MevsOff     float64 `json:"mevs_off"`
+		MevsRecord  float64 `json:"mevs_record"`
+		MevsRing    float64 `json:"mevs_ring"`
+		MevsJournal float64 `json:"mevs_journal"`
 	}
 	type doc struct {
-		Workloads      []row   `json:"workloads"`
-		GeomeanSpeedup float64 `json:"geomean_speedup"`
-		DigestsMatch   bool    `json:"digests_match"`
+		Method       string `json:"method"`
+		Workloads    []row  `json:"workloads"`
+		GoldenRuns   int    `json:"golden_runs"`
+		GoldensMatch bool   `json:"goldens_match"`
 	}
 	const reps = 5
-	legacy := func(c *vm.Config) { c.Dispatch = vm.DispatchLegacy }
+	modes := []string{"off", "record", "ring", "journal"}
+	runMode := func(mode string, prog *bytecode.Program, o replaycheck.Options) (*replaycheck.Result, error) {
+		var res *replaycheck.Result
+		var err error
+		switch mode {
+		case "off":
+			res, err = replaycheck.RunOff(prog, o)
+		case "record":
+			res, err = replaycheck.Record(prog, o)
+		case "ring":
+			ring, rerr := flightrec.NewRing(vm.ProgramHash(prog), flightrec.Options{})
+			if rerr != nil {
+				return nil, rerr
+			}
+			res, err = replaycheck.RecordSink(prog, ring, o)
+		case "journal":
+			o.RotateEvents = 1024
+			res, err = replaycheck.RecordJournal(prog, memfs.New(), o)
+		}
+		if err == nil && res.RunErr != nil {
+			err = res.RunErr
+		}
+		return res, err
+	}
 	mevs := func(ev uint64, d time.Duration) float64 {
 		if d <= 0 {
 			return 0
 		}
 		return float64(ev) / 1e6 / d.Seconds()
 	}
-	var out doc
-	out.DigestsMatch = true
+
+	out := doc{Method: fmt.Sprintf("VM.Run time only, digest observer off, best of %d interleaved reps per mode", reps)}
 	rows := [][]string{}
-	logSum := 0.0
 	for _, name := range sortedKeys(benchWorkloads) {
 		prog := benchWorkloads[name]
-		o := replaycheck.Options{Seed: 21, HeapBytes: 1 << 20}
-		once := func(tweak func(*vm.Config)) (*replaycheck.Result, time.Duration, error) {
-			ro := o
-			ro.TweakVM = tweak
-			rr, err := replaycheck.Record(prog(), ro)
-			if err != nil || rr.RunErr != nil {
-				return nil, 0, fmt.Errorf("record: %v %v", err, rr.RunErr)
-			}
-			// RunTime covers VM.Run alone: heap-image allocation and
-			// program assembly are identical fixed costs on both sides
-			// and would only dilute the dispatcher ratio.
-			return rr, rr.RunTime, nil
-		}
-		// Timed reps run without the digest observer: the per-event
-		// observer callback is harness instrumentation, and its fixed cost
-		// on both sides dilutes the dispatcher ratio being measured. Reps
-		// alternate between the dispatchers so ambient machine noise lands
-		// on both sides equally; best-of-N per side.
-		legacyBare := func(c *vm.Config) { c.Dispatch = vm.DispatchLegacy; c.Observer = nil }
-		bare := func(c *vm.Config) { c.Observer = nil }
-		var lt, ft time.Duration
+		// Timed reps run without the digest observer: it is harness
+		// instrumentation with the same fixed cost in every mode.
+		o := replaycheck.Options{Seed: 21, HeapBytes: 1 << 20, TweakVM: func(c *vm.Config) { c.Observer = nil }}
+		best := map[string]time.Duration{}
+		var events uint64
 		for i := 0; i < reps; i++ {
-			_, d, err := once(legacyBare)
-			if err != nil {
-				return fmt.Errorf("%s legacy: %v", name, err)
-			}
-			if lt == 0 || d < lt {
-				lt = d
-			}
-			_, d, err = once(bare)
-			if err != nil {
-				return fmt.Errorf("%s fast: %v", name, err)
-			}
-			if ft == 0 || d < ft {
-				ft = d
+			for _, mode := range modes {
+				res, err := runMode(mode, prog(), o)
+				if err != nil {
+					return fmt.Errorf("%s %s: %v", name, mode, err)
+				}
+				if d := best[mode]; d == 0 || res.RunTime < d {
+					best[mode] = res.RunTime
+				}
+				events = res.Events
 			}
 		}
-		// Identity runs keep the observer: they feed the cross-dispatch
-		// trace/output/digest assertions and are not timed.
-		lres, _, err := once(legacy)
-		if err != nil {
-			return fmt.Errorf("%s legacy: %v", name, err)
-		}
-		fres, _, err := once(nil)
-		if err != nil {
-			return fmt.Errorf("%s fast: %v", name, err)
-		}
-		// Identity assertions: same events, same trace bytes, same
-		// output, and the shared trace must replay to the same digest
-		// under both dispatchers.
-		if lres.Events != fres.Events {
-			return fmt.Errorf("%s: event counts diverged (%d vs %d)", name, lres.Events, fres.Events)
-		}
-		if !bytes.Equal(lres.Trace, fres.Trace) {
-			return fmt.Errorf("%s: trace bytes diverged between dispatchers", name)
-		}
-		if !bytes.Equal(lres.Output, fres.Output) {
-			return fmt.Errorf("%s: output diverged between dispatchers", name)
-		}
-		ro := o
-		ro.TweakVM = legacy
-		lrep, err := replaycheck.Replay(prog(), fres.Trace, ro)
-		if err != nil || lrep.RunErr != nil {
-			return fmt.Errorf("%s legacy replay: %v %v", name, err, lrep.RunErr)
-		}
-		frep, err := replaycheck.Replay(prog(), fres.Trace, o)
-		if err != nil || frep.RunErr != nil {
-			return fmt.Errorf("%s fast replay: %v %v", name, err, frep.RunErr)
-		}
-		if lrep.Digest.Sum() != frep.Digest.Sum() || lrep.Digest.Sum() != lres.Digest.Sum() {
-			return fmt.Errorf("%s: replay digests diverged between dispatchers", name)
-		}
-		speedup := float64(lt) / float64(ft)
-		logSum += math.Log(speedup)
 		rw := row{
-			Workload:     name,
-			Events:       fres.Events,
-			MevsLegacy:   mevs(lres.Events, lt),
-			MevsFast:     mevs(fres.Events, ft),
-			Speedup:      speedup,
-			TraceBytes:   len(fres.Trace),
-			ReplayDigest: fmt.Sprintf("%016x", frep.Digest.Sum()),
+			Workload:    name,
+			Events:      events,
+			MevsOff:     mevs(events, best["off"]),
+			MevsRecord:  mevs(events, best["record"]),
+			MevsRing:    mevs(events, best["ring"]),
+			MevsJournal: mevs(events, best["journal"]),
 		}
 		out.Workloads = append(out.Workloads, rw)
-		rows = append(rows, []string{name,
-			fmt.Sprintf("%d", rw.Events),
-			fmt.Sprintf("%.1f", rw.MevsLegacy),
-			fmt.Sprintf("%.1f", rw.MevsFast),
-			fmt.Sprintf("%.2fx", rw.Speedup),
-			"identical"})
+		rows = append(rows, []string{name, fmt.Sprintf("%d", events),
+			fmt.Sprintf("%.1f", rw.MevsOff), fmt.Sprintf("%.1f", rw.MevsRecord),
+			fmt.Sprintf("%.1f", rw.MevsRing), fmt.Sprintf("%.1f", rw.MevsJournal)})
 	}
-	out.GeomeanSpeedup = math.Exp(logSum / float64(len(out.Workloads)))
-	r.table([]string{"workload", "events", "Mev/s legacy", "Mev/s threaded", "speedup", "trace+digest"}, rows)
+	r.table([]string{"workload", "events", "Mev/s off", "Mev/s record", "Mev/s ring", "Mev/s journal"}, rows)
+
+	g, err := replaycheck.ReadGoldens(replaycheck.GoldensFile)
+	if err != nil {
+		return fmt.Errorf("goldens (run dvbench from the repository root): %v", err)
+	}
+	for _, want := range g.Runs {
+		prog, ok := workloads.Registry[want.Workload]
+		if !ok {
+			return fmt.Errorf("golden workload %q is not in the registry", want.Workload)
+		}
+		o := replaycheck.Options{Seed: want.Seed, HostRand: want.Seed}
+		if want.Workload == "sumlines" {
+			o.Input = "5\n15\n22\n\n" // the input the goldens were recorded with
+		}
+		for _, mode := range modes {
+			res, err := runMode(mode, prog(), o)
+			if err != nil {
+				return fmt.Errorf("golden %s/seed%d %s: %v", want.Workload, want.Seed, mode, err)
+			}
+			got := replaycheck.FingerprintRun(want.Workload, want.Seed, res, res.Digest.Sum())
+			if mode == "record" {
+				rep, err := replaycheck.Replay(prog(), res.Trace, o)
+				if err != nil || rep.RunErr != nil {
+					return fmt.Errorf("golden %s/seed%d replay: %v %v", want.Workload, want.Seed, err, rep.RunErr)
+				}
+				got.ReplayDigest = replaycheck.DigestHex(rep.Digest.Sum())
+			} else {
+				// Only a flat recording has trace bytes to compare.
+				got.TraceSHA256, got.TraceLen, got.ReplayDigest = want.TraceSHA256, want.TraceLen, want.ReplayDigest
+			}
+			if got != want {
+				return fmt.Errorf("golden %s/seed%d diverged in %s mode:\ngot  %+v\nwant %+v",
+					want.Workload, want.Seed, mode, got, want)
+			}
+		}
+		out.GoldenRuns++
+	}
+	out.GoldensMatch = true
 	blob, _ := json.MarshalIndent(out, "", "  ")
 	if err := os.WriteFile("BENCH_E22.json", append(blob, '\n'), 0o644); err != nil {
 		return fmt.Errorf("write BENCH_E22.json: %v", err)
 	}
-	r.note("wrote BENCH_E22.json; geomean speedup %.2fx. The threaded dispatcher emits", out.GeomeanSpeedup)
-	r.note("bit-identical trace bytes and replays to the same digest as the legacy switch,")
-	r.note("so recordings made by either loop are interchangeable.")
+	r.note("wrote BENCH_E22.json. %d golden runs reproduced in all %d modes: off, record,", out.GoldenRuns, len(modes))
+	r.note("ring and journal execute the same loop and leave the same digests.")
 	return nil
 }

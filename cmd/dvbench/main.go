@@ -43,7 +43,7 @@ var experiments = []experiment{
 	{"E19", "certified optimizer: Mev/s optimized vs unoptimized, replay intact", runE19},
 	{"E20", "flight recorder: ring overhead vs window size, flush integrity, ddmin reduction", runE20},
 	{"E21", "chaos resilience: quarantine, supervised recovery, and travel latency under storage faults", runE21},
-	{"E22", "interpreter fast path: threaded dispatch Mev/s vs legacy switch, cross-dispatch identity", runE22},
+	{"E22", "interpreter: Mev/s off/record/ring/journal on the one loop, identity against the goldens", runE22},
 }
 
 type multiFlag []string

@@ -6,12 +6,14 @@ package opt
 // counts masked to 6 bits, signed compares — and must refuse to fold
 // anything whose trap position is replay-observable (Div/Mod). The
 // oracle is the whole pipeline: a const/const/op program is run raw,
-// optimized (which folds it), run again under both dispatchers, and all
-// four executions must produce the same output or the same trap.
+// optimized (which folds it) and run again; both executions must produce
+// the same output or the same trap, and the raw one must match
+// foldBinop, or trap with "division by zero" for a zero divisor.
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dejavu/internal/bytecode"
@@ -36,26 +38,11 @@ func binopProg(a, b int64, op bytecode.Opcode) *bytecode.Program {
 	return bb.MustProgram()
 }
 
-func runDispatch(t *testing.T, p *bytecode.Program, mode vm.DispatchMode) (string, error) {
-	t.Helper()
-	m, err := vm.New(p, vm.Config{Dispatch: mode})
-	if err != nil {
-		t.Fatalf("vm.New: %v", err)
-	}
-	runErr := m.Run()
-	return string(m.Output()), runErr
-}
-
-// checkArithDifferential runs one (a, b, op) case through the four
-// executions and cross-checks them plus foldBinop's prediction.
+// checkArithDifferential runs one (a, b, op) case raw and optimized and
+// cross-checks both executions plus foldBinop's prediction.
 func checkArithDifferential(t *testing.T, a, b int64, op bytecode.Opcode) {
 	t.Helper()
-	rawOut, rawErr := runDispatch(t, binopProg(a, b, op), vm.DispatchAuto)
-	legOut, legErr := runDispatch(t, binopProg(a, b, op), vm.DispatchLegacy)
-	if rawOut != legOut || fmt.Sprint(rawErr) != fmt.Sprint(legErr) {
-		t.Fatalf("%v %d,%d: dispatchers diverged: fast (%q, %v) legacy (%q, %v)",
-			op, a, b, rawOut, rawErr, legOut, legErr)
-	}
+	rawOut, rawErr := runProg(t, binopProg(a, b, op))
 
 	res, err := Optimize(binopProg(a, b, op), Options{Natives: vm.NativeSignature})
 	if err != nil {
@@ -64,7 +51,7 @@ func checkArithDifferential(t *testing.T, a, b int64, op bytecode.Opcode) {
 	if !res.Certified {
 		t.Fatalf("%v %d,%d: refused:\n%s", op, a, b, res.Report.Text())
 	}
-	optOut, optErr := runDispatch(t, res.Program, vm.DispatchAuto)
+	optOut, optErr := runProg(t, res.Program)
 	if rawOut != optOut || fmt.Sprint(rawErr) != fmt.Sprint(optErr) {
 		t.Fatalf("%v %d,%d: optimizer changed behavior: raw (%q, %v) optimized (%q, %v)",
 			op, a, b, rawOut, rawErr, optOut, optErr)
@@ -88,8 +75,8 @@ func checkArithDifferential(t *testing.T, a, b int64, op bytecode.Opcode) {
 			t.Fatalf("%v %d,%d: trapping op was folded away", op, a, b)
 		}
 		if b == 0 {
-			if rawErr == nil {
-				t.Fatalf("%v %d,0: expected division-by-zero trap, got %q", op, a, rawOut)
+			if rawErr == nil || !strings.Contains(rawErr.Error(), "division by zero") {
+				t.Fatalf("%v %d,0: expected division-by-zero trap, got (%q, %v)", op, a, rawOut, rawErr)
 			}
 		} else {
 			want := fmt.Sprintf("%d\n", divModGo(op, a, b))

@@ -18,7 +18,10 @@ package replaycheck_test
 import (
 	"testing"
 
+	"dejavu/internal/faults/memfs"
+	"dejavu/internal/flightrec"
 	"dejavu/internal/replaycheck"
+	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
 
@@ -58,6 +61,28 @@ func TestRecordSteadyStateAllocs(t *testing.T) {
 	check("bank", func() (uint64, error) {
 		rr, err := replaycheck.Record(workloads.Bank(4, 8, 2000),
 			replaycheck.Options{Seed: 3, HostRand: 3})
+		if err != nil {
+			return 0, err
+		}
+		return rr.Events, rr.RunErr
+	})
+	// The always-on flight ring and a rotating journal run the same loop;
+	// their per-rotation snapshot is amortized setup like the heap image.
+	check("ring", func() (uint64, error) {
+		prog := workloads.ProdCons(2, 2, 4, 1500)
+		ring, err := flightrec.NewRing(vm.ProgramHash(prog), flightrec.Options{})
+		if err != nil {
+			return 0, err
+		}
+		rr, err := replaycheck.RecordSink(prog, ring, replaycheck.Options{Seed: 3, HostRand: 3})
+		if err != nil {
+			return 0, err
+		}
+		return rr.Events, rr.RunErr
+	})
+	check("journal", func() (uint64, error) {
+		rr, err := replaycheck.RecordJournal(workloads.Bank(4, 8, 2000), memfs.New(),
+			replaycheck.Options{Seed: 3, HostRand: 3, RotateEvents: 256})
 		if err != nil {
 			return 0, err
 		}

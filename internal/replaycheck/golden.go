@@ -71,8 +71,8 @@ type CheckpointGolden struct {
 	SHA256   string `json:"sha256"`
 }
 
-// SHA256Hex returns the hex sha256 of b.
-func SHA256Hex(b []byte) string {
+// sha256Hex returns the hex sha256 of b.
+func sha256Hex(b []byte) string {
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])
 }
@@ -86,14 +86,14 @@ func FingerprintRun(workload string, seed int64, rec *Result, replayDigest uint6
 	return RunGolden{
 		Workload:     workload,
 		Seed:         seed,
-		TraceSHA256:  SHA256Hex(rec.Trace),
+		TraceSHA256:  sha256Hex(rec.Trace),
 		TraceLen:     len(rec.Trace),
-		OutputSHA256: SHA256Hex(rec.Output),
+		OutputSHA256: sha256Hex(rec.Output),
 		Events:       rec.Events,
 		Switches:     rec.Digest.Switches(),
 		RecordDigest: DigestHex(rec.Digest.Sum()),
 		ReplayDigest: DigestHex(replayDigest),
-		FinalState:   SHA256Hex([]byte(strings.Join(rec.VM.FinalState(), "\n"))),
+		FinalState:   sha256Hex([]byte(strings.Join(rec.VM.FinalState(), "\n"))),
 	}
 }
 
@@ -113,7 +113,7 @@ func JournalLayout(name string, fs trace.FS) (JournalGolden, error) {
 			return JournalGolden{}, err
 		}
 		g.Checkpoints = append(g.Checkpoints, CheckpointGolden{
-			Index: ck.Index, VMEvents: ck.VMEvents, NYP: ck.BoundaryNYP, SHA256: SHA256Hex(ck.State),
+			Index: ck.Index, VMEvents: ck.VMEvents, NYP: ck.BoundaryNYP, SHA256: sha256Hex(ck.State),
 		})
 	}
 	return g, nil

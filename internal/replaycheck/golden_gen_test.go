@@ -9,13 +9,12 @@ import (
 	"testing"
 
 	"dejavu/internal/replaycheck"
-	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
 
 // TestWriteGoldens regenerates testdata/goldens.json. It runs only under
-// the goldens build tag and refuses to write unless the token-threaded
-// loop and the legacy switch loop agree on every run.
+// the goldens build tag and refuses to write unless every run replays to
+// its recording, under Run and under Step alike.
 func TestWriteGoldens(t *testing.T) {
 	var g replaycheck.Goldens
 	for _, w := range workloads.Names() {
@@ -23,20 +22,6 @@ func TestWriteGoldens(t *testing.T) {
 			r, err := goldenRun(w, seed)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", w, seed, err)
-			}
-			o := optsFor(w, seed)
-			o.TweakVM = func(c *vm.Config) { c.Dispatch = vm.DispatchLegacy }
-			prog := workloads.Registry[w]
-			lrec, err := replaycheck.Record(prog(), o)
-			if err != nil || lrec.RunErr != nil {
-				t.Fatalf("%s seed %d legacy record: %v %v", w, seed, err, lrec.RunErr)
-			}
-			lrep, err := replaycheck.Replay(prog(), lrec.Trace, o)
-			if err != nil || lrep.RunErr != nil {
-				t.Fatalf("%s seed %d legacy replay: %v %v", w, seed, err, lrep.RunErr)
-			}
-			if l := replaycheck.FingerprintRun(w, seed, lrec, lrep.Digest.Sum()); l != r {
-				t.Fatalf("%s seed %d: the two loops disagree:\nfast   %+v\nlegacy %+v", w, seed, r, l)
 			}
 			g.Runs = append(g.Runs, r)
 		}

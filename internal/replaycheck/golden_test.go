@@ -142,10 +142,10 @@ func goldenFlight() (replaycheck.JournalGolden, error) {
 	return replaycheck.JournalLayout("server/flight-window-32", fs)
 }
 
-// TestGoldens is the interpreter's behaviour contract: every pinned run
-// and journal layout must be reproduced exactly, and every golden trace
-// must replay under Step to the digest Run reaches.
-func TestGoldens(t *testing.T) {
+// readGoldens loads the corpus and checks it covers what the generator
+// writes.
+func readGoldens(t *testing.T) *replaycheck.Goldens {
+	t.Helper()
 	g, err := replaycheck.ReadGoldens("testdata/goldens.json")
 	if err != nil {
 		t.Fatal(err)
@@ -153,9 +153,22 @@ func TestGoldens(t *testing.T) {
 	if want := len(workloads.Names()) * len(goldenSeeds); len(g.Runs) != want {
 		t.Fatalf("corpus has %d runs, want %d (workloads x seeds); regenerate the goldens", len(g.Runs), want)
 	}
-	for _, want := range g.Runs {
+	if want := len(journalCases()) + 1; len(g.Journals) != want {
+		t.Fatalf("corpus has %d journals, want %d; regenerate the goldens", len(g.Journals), want)
+	}
+	return g
+}
+
+// TestCrossDispatchDifferential pins the two ways an instruction is
+// dispatched — Run's token stream with fused pairs, and Step's one
+// unfused instruction at a time — to the golden corpus: for every
+// workload and seed, the recording must reproduce its pinned trace bytes,
+// output, events, switches, digest and final state, and its trace must
+// replay to the pinned digest under both.
+func TestCrossDispatchDifferential(t *testing.T) {
+	for _, want := range readGoldens(t).Runs {
 		want := want
-		t.Run(fmt.Sprintf("run/%s/seed%d", want.Workload, want.Seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/seed%d", want.Workload, want.Seed), func(t *testing.T) {
 			got, err := goldenRun(want.Workload, want.Seed)
 			if err != nil {
 				t.Fatal(err)
@@ -165,13 +178,16 @@ func TestGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenJournals pins where journals and a flight-ring flush cut
+// their segments and what each checkpoint holds.
+func TestGoldenJournals(t *testing.T) {
+	g := readGoldens(t)
 	cases := journalCases()
-	if len(g.Journals) != len(cases)+1 {
-		t.Fatalf("corpus has %d journals, want %d; regenerate the goldens", len(g.Journals), len(cases)+1)
-	}
 	for i, c := range cases {
 		c, want := c, g.Journals[i]
-		t.Run("journal/"+c.name, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			got, err := goldenJournal(c)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +195,7 @@ func TestGoldens(t *testing.T) {
 			checkLayout(t, got, want)
 		})
 	}
-	t.Run("journal/server/flight-window-32", func(t *testing.T) {
+	t.Run("server/flight-window-32", func(t *testing.T) {
 		got, err := goldenFlight()
 		if err != nil {
 			t.Fatal(err)

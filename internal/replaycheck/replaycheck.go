@@ -30,9 +30,8 @@ const (
 // event — the digest runs on every step of every measured execution, so
 // the byte-at-a-time fold was the single hottest record-path cost). Two
 // executions with equal digests executed the same events in the same
-// order with the same output. The digest is a per-process comparison
-// value, never persisted as a golden constant, so the fold width is
-// free to change.
+// order with the same output. Digest values are pinned in
+// testdata/goldens.json, so changing the fold means regenerating them.
 type Digest struct {
 	sum      uint64
 	events   uint64
@@ -444,7 +443,9 @@ func RunOff(prog *bytecode.Program, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	runErr := m.Run()
+	runTime := time.Since(start)
 	return &Result{
 		Digest:   d,
 		Output:   append([]byte(nil), m.Output()...),
@@ -452,5 +453,6 @@ func RunOff(prog *bytecode.Program, o Options) (*Result, error) {
 		VM:       m,
 		EngStats: eng.Stats(),
 		RunErr:   runErr,
+		RunTime:  runTime,
 	}, nil
 }

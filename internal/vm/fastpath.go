@@ -5,46 +5,42 @@ import (
 	"fmt"
 
 	"dejavu/internal/bytecode"
-	"dejavu/internal/core"
 	"dejavu/internal/heap"
 	"dejavu/internal/threads"
 )
 
-// Token-threaded fast path. Run drives runFast when no journal is
-// attached: a per-VM decoded instruction stream (operands pre-resolved,
-// common pairs fused into superinstructions) dispatched through a
-// handler table, with the current method, code and pc cached in Go
-// locals for a whole scheduling slice instead of being re-read from the
-// heap frame every instruction.
+// The interpreter: one handler per opcode and per fused pair, dispatched
+// over a per-VM decoded instruction stream (operands pre-resolved, common
+// pairs fused into superinstructions). Run executes whole scheduling
+// slices with the current method, code and pc cached in Go locals
+// (runSlice); Step and native callbacks execute one unfused instruction
+// at a time (execOne). Both paths run the same handlers, so record,
+// replay, journaled and flight recording, and the debugger share one
+// implementation of every opcode.
 //
-// Everything replay-observable is kept bit-identical to the legacy
-// dispatchOp loop:
+// Everything replay-observable is identical between the two paths:
 //
 //   - Event accounting: every component of a fused pair counts its own
 //     event and reports its own original (pc, opcode) to the Observer,
 //     and the MaxEvents budget plus the stack-headroom growth check run
-//     at every component boundary, exactly like the legacy per-Step
-//     checks. Yield points (method prologues, taken backward branches)
-//     fire from the same helpers (doCall, branch), so the logical
-//     clock, trace bytes and switch schedule cannot shift.
-//   - Deferred state: the frame's resume pc and the per-thread heap
-//     mirrors are flushed whenever they can be observed — at calls (the
-//     call site pc must sit in the caller header before pushFrame), at
-//     Native instructions (nested callback interpretation re-enters the
-//     legacy loop through the heap-resident pc, and remote tool VMs
-//     read the mirrors), on every thread-state change, and when the
-//     slice exits. In between, nothing replay-visible reads them:
-//     FinalState renders statics-reachable heap only, and within one
-//     dispatch mode the flush schedule is identical between record and
-//     replay, so heap digests still match bit-for-bit.
+//     at every component boundary, exactly as execOne runs them before
+//     every instruction. Yield points (method prologues, taken backward
+//     branches) fire from the same helpers (doCall, branch), so the
+//     logical clock, trace bytes and switch schedule cannot shift.
+//   - Deferred state: runSlice flushes the frame's resume pc and the
+//     per-thread heap mirrors whenever they can be observed — at calls
+//     (the call site pc must sit in the caller header before pushFrame),
+//     at Native instructions (callbacks re-enter execOne through the
+//     heap-resident pc, and remote tool VMs read the mirrors), on every
+//     thread-state change, before a journal rotation snapshots the VM,
+//     and when the slice exits. In between, nothing replay-visible reads
+//     them: FinalState renders statics-reachable heap only, and the
+//     active heap at every one of those points matches what execOne's
+//     per-instruction flushes leave behind.
 //   - Inline caches (CallV target, GetF/PutF field refness, SConst
 //     intern index, native ids) key on program identity — class layout,
 //     string pool and native registry are immutable per program — and
 //     are never invalidated by replay state.
-//
-// Step keeps the legacy loop unconditionally: debuggers rely on its
-// strict one-instruction-per-call contract and journal rotation polls
-// at its boundaries.
 
 type fastFn func(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error)
 
@@ -52,11 +48,6 @@ var fastTab []fastFn
 
 func init() {
 	fastTab = make([]fastFn, bytecode.NumTokens())
-	// Every plain opcode runs through the legacy dispatchOp by default;
-	// hot opcodes get dedicated pre-decoded handlers below.
-	for op := 0; op < bytecode.NumOpcodes(); op++ {
-		fastTab[op] = fpGeneric
-	}
 	fastTab[bytecode.Nop] = fpNop
 	fastTab[bytecode.IConst] = fpIConst
 	fastTab[bytecode.LConst] = fpIConst // Imm pre-decoded for both
@@ -101,10 +92,18 @@ func init() {
 	fastTab[bytecode.TimedWait] = fpWait
 	fastTab[bytecode.Notify] = fpNotify
 	fastTab[bytecode.NotifyAll] = fpNotify
+	fastTab[bytecode.NewArr] = fpNewArr
 	fastTab[bytecode.ALoad] = fpALoad
+	fastTab[bytecode.AStore] = fpAStore
 	fastTab[bytecode.ArrLen] = fpArrLen
+	fastTab[bytecode.InstOf] = fpInstOf
+	fastTab[bytecode.Spawn] = fpSpawn
 	fastTab[bytecode.ThreadID] = fpThreadID
+	fastTab[bytecode.YieldOp] = fpYield
+	fastTab[bytecode.Sleep] = fpSleep
+	fastTab[bytecode.Interrupt] = fpInterrupt
 	fastTab[bytecode.Print] = fpPrint
+	fastTab[bytecode.PrintS] = fpPrintS
 	fastTab[bytecode.Assert] = fpAssert
 	fastTab[bytecode.Halt] = fpHalt
 
@@ -116,11 +115,16 @@ func init() {
 	fastTab[bytecode.TokCmpJz] = fpCmpJump
 	fastTab[bytecode.TokCmpJnz] = fpCmpJump
 	fastTab[bytecode.TokIConstCall] = fpIConstCall
+	for tok, fn := range fastTab {
+		if fn == nil {
+			panic(fmt.Sprintf("vm: no handler for token %d", tok))
+		}
+	}
 }
 
-// note performs the per-event accounting the legacy loop does in
-// execOne: the global and per-thread event counters plus the Observer
-// step callback, always with the component's original pc and opcode.
+// note performs the per-event accounting: the global and per-thread
+// event counters plus the Observer step callback, always with the
+// component's original pc and opcode.
 func (vm *VM) note(t *threads.Thread, mid, pc int, op bytecode.Opcode) {
 	vm.events++
 	t.EventCount++
@@ -142,10 +146,10 @@ func (vm *VM) noteObs(t *threads.Thread, mid, pc int, op bytecode.Opcode) {
 //
 // The shared push/pop helpers in stack.go construct formatted errors in
 // their failure paths, which keeps the compiler from inlining them, so
-// every fast handler would pay a function call per stack access — plus
+// every handler would pay a function call per stack access — plus
 // push's per-call segment header decode for its overflow assertion.
 // These variants inline; error construction stays in the (cold) caller
-// branches. The error text must match the legacy helpers byte for byte.
+// branches. The error text matches the shared helpers byte for byte.
 
 var (
 	errUnderflow = errors.New("operand stack underflow")
@@ -155,9 +159,9 @@ var (
 )
 
 // fpush writes val at t.SP and bumps it. It skips push's mid-
-// instruction overflow assertion: fast handlers run under the dispatch
-// loop's headroom guarantee (opHeadroom free slots at every instruction
-// and pair boundary), which covers any single instruction's pushes.
+// instruction overflow assertion: handlers run under the loops' headroom
+// guarantee (opHeadroom free slots at every instruction and pair
+// boundary), which covers any single instruction's pushes.
 func (vm *VM) fpush(t *threads.Thread, val uint64, isRef bool) {
 	vm.h.StoreWord(t.StackSeg, t.SP, val)
 	t.Tags[t.SP] = isRef
@@ -178,9 +182,8 @@ func (vm *VM) fpop(t *threads.Thread) (val uint64, isRef, ok bool) {
 
 // boundaryErr marks an error raised at the instruction boundary between
 // the two components of a fused pair (event budget, stack growth
-// failure). It must surface unwrapped — the legacy loop reports these
-// outside any trap — with the resume pc pointing at the second
-// component.
+// failure). It must surface unwrapped — Step reports these outside any
+// trap — with the resume pc pointing at the second component.
 type boundaryErr struct{ err error }
 
 func (e *boundaryErr) Error() string { return e.err.Error() }
@@ -188,20 +191,20 @@ func (e *boundaryErr) Unwrap() error { return e.err }
 
 // pairBoundary runs the instruction-boundary checks between the two
 // components of a fused pair: the MaxEvents budget and the operand
-// stack headroom growth, exactly as the dispatch loop performs them
-// before every instruction. Growth is a heap allocation — a replay-
-// observable event — so fusion must neither move nor skip it. spBias is
-// the net stack effect the unfused first component would have had that
-// the fused handler elided (it kept the value in a Go local instead of
-// pushing): the growth condition must see the SP the legacy loop would
-// see, or the two dispatch modes would grow at different points.
+// stack headroom growth, exactly as execOne performs them before every
+// instruction. Growth is a heap allocation — a replay-observable event —
+// so fusion must neither move nor skip it. spBias is the net stack
+// effect the unfused first component would have had that the fused
+// handler elided (it kept the value in a Go local instead of pushing):
+// the growth condition must see the SP an unfused run would see, or
+// Run and Step would grow at different points.
 func (vm *VM) pairBoundary(t *threads.Thread, d *bytecode.DInstr, spBias int) error {
 	if vm.cfg.MaxEvents > 0 && vm.events >= vm.cfg.MaxEvents {
 		return ErrEventBudget
 	}
 	if vm.stackLen(t)-(t.SP+spBias) < opHeadroom {
-		// Mid-pair, the legacy loop would have flushed the second
-		// component's pc; the abandoned segment keeps those bytes.
+		// Mid-pair, execOne would have flushed the second component's
+		// pc; the abandoned segment keeps those bytes.
 		vm.flushFramePC(t, int(d.PC)+1)
 		return vm.growStack(t, opHeadroom+12)
 	}
@@ -210,7 +213,7 @@ func (vm *VM) pairBoundary(t *threads.Thread, d *bytecode.DInstr, spBias int) er
 
 // buildDecoded builds the per-VM decoded stream and pre-resolves the
 // identity-pure caches the bytecode layer cannot know: SConst intern
-// indexes and native ids.
+// indexes and native ids. New calls it once the strings are interned.
 func (vm *VM) buildDecoded() {
 	dp := bytecode.DecodeProgram(vm.prog, true)
 	for mi := range dp.Methods {
@@ -238,33 +241,10 @@ func (vm *VM) buildDecoded() {
 	vm.decoded = dp
 }
 
-// runFast is Run's token-threaded loop: dispatch a thread, then execute
-// its whole scheduling slice with method/code/pc in locals.
-func (vm *VM) runFast() error {
-	if vm.decoded == nil {
-		vm.buildDecoded()
-	}
-	for {
-		done, err := vm.EnsureDispatched()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		if err := vm.runSlice(vm.sched.Current()); err != nil {
-			return err
-		}
-		if vm.halted {
-			return nil
-		}
-	}
-}
-
 // runSlice executes t until it loses the CPU, the program halts, or an
 // error stops the run. On every exit it flushes the deferred state (the
 // frame's resume pc and all thread mirrors) so the heap looks exactly
-// like the legacy loop's at the same boundary.
+// like execOne's at the same boundary.
 func (vm *VM) runSlice(t *threads.Thread) error {
 	h := vm.h
 	m := vm.frameMethod(t)
@@ -273,7 +253,7 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 
 	stop := func(next int) {
 		if t.State != threads.Terminated {
-			vm.h.StoreWord(t.StackSeg, t.FP+FramePC, uint64(int64(next)))
+			vm.flushFramePC(t, next)
 		}
 		vm.flushAllMirrors()
 	}
@@ -287,7 +267,7 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 		if vm.stackLen(t)-t.SP < opHeadroom {
 			// The abandoned segment stays in the heap image until a
 			// collection reclaims it; its header must hold the same pc
-			// the legacy loop would have flushed.
+			// execOne would have flushed.
 			vm.flushFramePC(t, pc)
 			if err := vm.growStack(t, opHeadroom+12); err != nil {
 				stop(pc)
@@ -296,7 +276,13 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 			}
 		}
 		d := &code[pc]
-		ctrl, next, err := fastTab[d.Tok](vm, t, m, d)
+		tok, after := d.Tok, int(d.Next)
+		if vm.rotPoll {
+			// The journal must be polled at the very next instruction
+			// boundary, which may sit inside a fused pair.
+			tok, after = bytecode.Token(d.Op), pc+1
+		}
+		ctrl, next, err := fastTab[tok](vm, t, m, d)
 		if err != nil {
 			var be *boundaryErr
 			if errors.As(err, &be) {
@@ -304,17 +290,13 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 				vm.err = be.err
 				return vm.err
 			}
-			var ve *VMError
-			if !errors.As(err, &ve) {
-				err = vm.trap(t, m, int(d.PC), err)
-			}
 			stop(pc)
-			vm.err = err
+			vm.err = vm.trapErr(t, m, pc, err)
 			return vm.err
 		}
 		switch ctrl {
 		case ctrlNext:
-			pc = int(d.Next)
+			pc = after
 		case ctrlJump, ctrlSwitch:
 			pc = next
 		case ctrlCall:
@@ -323,14 +305,9 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 			code = vm.decoded.Methods[m.ID].Code
 			pc = next
 		}
-		if e := vm.eng.Err(); e != nil {
+		if vm.eng.Err() != nil {
 			stop(pc)
-			if errors.Is(e, core.ErrStalled) {
-				vm.err = fmt.Errorf("vm: %w", e)
-			} else {
-				vm.err = fmt.Errorf("vm: replay diverged after %d events: %w", vm.events, e)
-			}
-			return vm.err
+			return vm.engineErr()
 		}
 		if vm.halted {
 			stop(pc)
@@ -343,18 +320,18 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 			stop(pc)
 			return nil
 		}
+		if vm.rotPoll && vm.rotationDue() {
+			// The snapshot must see the deferred state flushed, exactly
+			// as stop leaves it.
+			stop(pc)
+			if err := vm.rotate(); err != nil {
+				return err
+			}
+		}
 	}
 }
 
 // --- plain handlers ---
-
-// fpGeneric runs any opcode through the legacy dispatchOp switch. The
-// rare ops (sync, spawn, sleep, interrupt…) stay on this path: one
-// shared implementation, bit-identical by construction.
-func fpGeneric(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
-	vm.note(t, m.ID, int(d.PC), d.Op)
-	return vm.dispatchOp(t, m, int(d.PC), bytecode.Instr{Op: d.Op, A: d.A, B: d.B})
-}
 
 func fpNop(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
@@ -547,7 +524,7 @@ func fpCmpOrd(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 
 func fpJmp(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	return vm.branch(t, int(d.PC), int(d.A), true)
+	return vm.branch(t, int(d.PC), int(d.A))
 }
 
 func fpJzJnz(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
@@ -564,13 +541,13 @@ func fpJzJnz(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 	if !taken {
 		return ctrlNext, 0, nil
 	}
-	return vm.branch(t, int(d.PC), int(d.A), true)
+	return vm.branch(t, int(d.PC), int(d.A))
 }
 
 func fpRet(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	// The dying frame's header keeps the Ret's own pc in the legacy
-	// loop (written by the previous instruction's epilogue); those bytes
+	// The dying frame's header keeps the Ret's own pc under execOne
+	// (written by the previous instruction's epilogue); those bytes
 	// persist as garbage above SP after the pop and are part of the
 	// perturbation-free heap image.
 	vm.flushFramePC(t, int(d.PC))
@@ -598,8 +575,8 @@ func fpRet(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (c
 	return ctrlCall, resume, nil
 }
 
-// flushFramePC writes the frame's resume pc to the heap header; the fast
-// loop defers it, so call sites and native boundaries restore it before
+// flushFramePC writes the frame's resume pc to the heap header; runSlice
+// defers it, so call sites and native boundaries restore it before
 // anything (pushFrame, nested interpretation, remote mirrors) can look.
 func (vm *VM) flushFramePC(t *threads.Thread, pc int) {
 	vm.h.StoreWord(t.StackSeg, t.FP+FramePC, uint64(int64(pc)))
@@ -681,9 +658,10 @@ func fpNative(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	// Natives can re-enter the interpreter (callbacks pop frames through
 	// the heap-resident resume pc) and remote tool VMs read the thread
 	// mirrors, so the deferred state is flushed first — the heap looks
-	// exactly like the legacy loop's at this boundary.
+	// exactly like execOne's at this boundary.
 	vm.flushFramePC(t, int(d.PC))
 	vm.flushAllMirrors()
+	vm.logged()
 	id := int(d.Aux)
 	if id < 0 {
 		return 0, 0, fmt.Errorf("unknown native %q", vm.prog.Strings[d.A])
@@ -817,8 +795,8 @@ func fpPutS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 	return ctrlNext, 0, nil
 }
 
-// fpWait / fpNotify mirror the dispatchOp wait/notify arms (fpWait also
-// covers TimedWait, fpNotify also covers NotifyAll, keyed off d.Op).
+// fpWait also covers TimedWait and fpNotify also covers NotifyAll, keyed
+// off d.Op.
 func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	if vm.nestedDepth > 0 {
@@ -838,6 +816,7 @@ func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 			millis = 0
 		}
 		wakeAt = vm.eng.ClockRead() + millis
+		vm.logged()
 	}
 	w, otag, ok := vm.fpop(t)
 	if !ok {
@@ -880,10 +859,6 @@ func fpNotify(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	return ctrlNext, 0, nil
 }
 
-// fpMonEnter / fpMonExit mirror the dispatchOp monitor arms. They are the
-// hottest generic-path ops in lock-heavy workloads; everything behavioral
-// (stub check, hooks, blocked-in-callback error, mirror flush) is kept
-// verbatim so the scheduler sees the exact legacy sequence.
 func fpMonEnter(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	w, otag, ok := vm.fpop(t)
@@ -1015,6 +990,183 @@ func fpArrLen(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	return ctrlNext, 0, nil
 }
 
+func fpNewArr(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if tag {
+		return 0, 0, errWantPrim
+	}
+	n := int64(w)
+	if n < 0 || n > 1<<28 {
+		return 0, 0, fmt.Errorf("bad array length %d", n)
+	}
+	var kind heap.Kind
+	switch d.A {
+	case bytecode.KindInt64:
+		kind = heap.KindInt64Arr
+	case bytecode.KindRef:
+		kind = heap.KindRefArr
+	case bytecode.KindByte:
+		kind = heap.KindByteArr
+	}
+	a, err := vm.allocArray(kind, int(n))
+	if err != nil {
+		return 0, 0, err
+	}
+	vm.fpush(t, uint64(a), true)
+	return ctrlNext, 0, nil
+}
+
+func fpAStore(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	h := vm.h
+	v, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	iw, itag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if itag {
+		return 0, 0, errWantPrim
+	}
+	idx := int(int64(iw))
+	aw, atag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if !atag {
+		return 0, 0, errWantRef
+	}
+	if aw == 0 {
+		return 0, 0, errNullRef
+	}
+	arr := heap.Addr(aw)
+	if vm.isStub(arr) {
+		return 0, 0, fmt.Errorf("remote objects are read-only (astore on stub)")
+	}
+	if err := h.CheckBounds(arr, idx); err != nil {
+		return 0, 0, err
+	}
+	switch h.KindOf(arr) {
+	case heap.KindInt64Arr:
+		if tag {
+			return 0, 0, fmt.Errorf("type error: reference into int array")
+		}
+		h.StoreWord(arr, idx, v)
+	case heap.KindRefArr:
+		if !tag {
+			return 0, 0, fmt.Errorf("type error: primitive into ref array")
+		}
+		h.StoreWord(arr, idx, v)
+	case heap.KindByteArr:
+		if tag {
+			return 0, 0, fmt.Errorf("type error: reference into byte array")
+		}
+		h.StoreByte(arr, idx, byte(v))
+	default:
+		return 0, 0, fmt.Errorf("astore on non-array")
+	}
+	if vm.cfg.MemHook != nil {
+		vm.cfg.MemHook.OnHeapAccess(t.ID, arr, idx, true, v)
+	}
+	return ctrlNext, 0, nil
+}
+
+func fpInstOf(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if !tag {
+		return 0, 0, errWantRef
+	}
+	a := heap.Addr(w)
+	var r bool
+	if vm.isStub(a) { // §3.4: instof consults the remote type
+		_, typeID, _, kind := vm.stubMeta(a)
+		r = kind == heap.KindObject && typeID == int(d.A)
+	} else {
+		r = a != 0 && vm.h.KindOf(a) == heap.KindObject && vm.h.TypeID(a) == int(d.A)
+	}
+	vm.fpush(t, boolWord(r), false)
+	return ctrlNext, 0, nil
+}
+
+func fpSpawn(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	nargs := int(d.B)
+	if t.SP-nargs < t.FP+FrameHeader {
+		return 0, 0, errUnderflow
+	}
+	nt, err := vm.spawnThread(vm.prog.Methods[d.A].ID, t, t.SP-nargs)
+	if err != nil {
+		return 0, 0, err
+	}
+	// Pop the arguments now that they are copied.
+	for i := 0; i < nargs; i++ {
+		vm.fpop(t)
+	}
+	vm.fpush(t, uint64(nt.ID), false)
+	return ctrlNext, 0, nil
+}
+
+func fpYield(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	// A voluntary yield is a deterministic thread switch: both modes take
+	// it identically, so nothing is recorded.
+	if vm.nestedDepth > 0 {
+		return ctrlNext, 0, nil
+	}
+	vm.sched.Preempt(t)
+	return ctrlSwitch, int(d.PC) + 1, nil
+}
+
+func fpSleep(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	if vm.nestedDepth > 0 {
+		return 0, 0, fmt.Errorf("blocking sleep inside a native callback")
+	}
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if tag {
+		return 0, 0, errWantPrim
+	}
+	millis := int64(w)
+	if millis < 0 {
+		millis = 0
+	}
+	vm.sched.Sleep(t, vm.eng.ClockRead()+millis)
+	vm.logged()
+	return ctrlNext, 0, nil
+}
+
+func fpInterrupt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if tag {
+		return 0, 0, errWantPrim
+	}
+	tid := int64(w)
+	target, found := vm.sched.Thread(int(tid))
+	if !found {
+		return 0, 0, fmt.Errorf("interrupt of unknown thread %d", tid)
+	}
+	vm.sched.Interrupt(target)
+	vm.flushAllMirrors()
+	return ctrlNext, 0, nil
+}
+
 func fpThreadID(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	vm.fpush(t, uint64(t.ID), false)
@@ -1031,6 +1183,36 @@ func fpPrint(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 		return 0, 0, errWantPrim
 	}
 	vm.printInt(int64(w))
+	return ctrlNext, 0, nil
+}
+
+func fpPrintS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if !tag {
+		return 0, 0, errWantRef
+	}
+	if w == 0 {
+		return 0, 0, errNullRef
+	}
+	a := heap.Addr(w)
+	if vm.isStub(a) { // §3.4: remote strings print transparently
+		b, err := vm.remoteBytes(a)
+		if err != nil {
+			return 0, 0, err
+		}
+		vm.writeOutput(append(b, '\n'))
+		return ctrlNext, 0, nil
+	}
+	if vm.h.KindOf(a) != heap.KindByteArr {
+		return 0, 0, fmt.Errorf("prints on non-string")
+	}
+	vm.printBuf = append(vm.printBuf[:0], vm.h.Bytes(a)...)
+	vm.printBuf = append(vm.printBuf, '\n')
+	vm.writeOutput(vm.printBuf)
 	return ctrlNext, 0, nil
 }
 
@@ -1058,17 +1240,17 @@ func fpHalt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 // --- fused superinstruction handlers ---
 //
 // Each handler executes both components with per-component event
-// accounting, runs the pairBoundary checks where the legacy loop had an
+// accounting, runs the pairBoundary checks where the unfused pair has an
 // instruction boundary, and attributes second-component traps to the
-// second component's pc. Stack round-trips that the legacy pair would
+// second component's pc. Stack round-trips the unfused pair would
 // perform (push by component 1, immediate pop by component 2) are
-// elided; the net stack effect, the tag array, and every trap condition
-// are identical. (Slots above SP may differ — they are garbage in both
-// modes and invisible to FinalState and to the record/replay digests,
-// which see identical flush schedules within one dispatch mode.)
+// elided; the net stack effect, the tag array, every trap condition and
+// the bytes left above SP are identical. A fused pair runs only when no
+// journal poll is due at its inner boundary (runSlice runs the first
+// component alone otherwise).
 
-// pairErr wraps a second-component error exactly as the legacy loop
-// would: trapped at the component's own pc.
+// pairErr wraps a second-component error exactly as execOne would:
+// trapped at the component's own pc.
 func (vm *VM) pairErr(t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr, err error) error {
 	return vm.trap(t, m, int(d.PC)+1, err)
 }
@@ -1082,7 +1264,7 @@ func fpLoadArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DIns
 	// The unfused Load would have written the value at the stack top;
 	// keep the bytes above SP identical (they survive GC segment
 	// copies, and the debugger's perturbation-free claim compares whole
-	// heap images between Step-driven and fast runs).
+	// heap images between Step-driven and Run-driven executions).
 	vm.h.StoreWord(t.StackSeg, t.SP, b)
 	vm.note(t, m.ID, int(d.PC)+1, d.Op2)
 	if tag {
@@ -1211,7 +1393,7 @@ func fpCmpJump(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr
 		return ctrlNext, 0, nil
 	}
 	// The branch's own pc is the second component.
-	return vm.branch(t, int(d.PC)+1, int(d.A2), true)
+	return vm.branch(t, int(d.PC)+1, int(d.A2))
 }
 
 func fpIConstCall(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {

@@ -1,12 +1,13 @@
 package vm
 
-// Golden tests for the token-threaded fast path: every fused
+// Golden tests for the token-threaded interpreter: every fused
 // superinstruction gets (a) a decode assertion proving the pair actually
 // fuses (so the behavioral check cannot pass vacuously on the plain
-// handlers), and (b) a cross-dispatch run asserting the fused handler
-// computes exactly what the legacy switch loop computes — same output,
-// same final state. Fusion must also respect jump targets: a pc that any
-// branch lands on stays the head of its own instruction.
+// handlers), (b) a pinned output, and (c) a run that single-steps through
+// the pair's head and shadow slot before running on, which must leave the
+// same output and final state as the uninterrupted run. Fusion must also
+// respect jump targets: a pc that any branch lands on stays the head of
+// its own instruction.
 
 import (
 	"strings"
@@ -16,7 +17,7 @@ import (
 )
 
 // decodeTokens returns every token appearing at a head slot across all
-// methods of p, fused greedily as the fast path decodes it.
+// methods of p, fused greedily as the VM decodes it.
 func decodeTokens(p *bytecode.Program) map[bytecode.Token]int {
 	counts := map[bytecode.Token]int{}
 	dp := bytecode.DecodeProgram(p, true)
@@ -34,26 +35,64 @@ func decodeTokens(p *bytecode.Program) map[bytecode.Token]int {
 	return counts
 }
 
-// runBoth runs prog under both dispatchers and asserts identical output
-// and final state, returning the (shared) output.
-func runBoth(t *testing.T, prog *bytecode.Program) string {
+// runStepped runs prog uninterrupted, then again stepping through the
+// head and the shadow slot of the first fused pair with token tok before
+// running the rest, and asserts both leave the same output and final
+// state. It returns the output.
+func runStepped(t *testing.T, prog *bytecode.Program, tok bytecode.Token) string {
 	t.Helper()
-	fast := run(t, prog, Config{})
-	legacy := run(t, prog, Config{Dispatch: DispatchLegacy})
-	fo, lo := string(fast.Output()), string(legacy.Output())
-	if fo != lo {
-		t.Fatalf("output diverged:\nfast:   %q\nlegacy: %q", fo, lo)
+	whole := run(t, prog, Config{})
+	m, err := New(prog, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ff, lf := fast.FinalState(), legacy.FinalState()
-	if len(ff) != len(lf) {
-		t.Fatalf("final state shape diverged: %d vs %d entries", len(ff), len(lf))
-	}
-	for i := range ff {
-		if ff[i] != lf[i] {
-			t.Fatalf("final state diverged: %q vs %q", ff[i], lf[i])
+	for {
+		if done, err := m.EnsureDispatched(); done || err != nil {
+			t.Fatalf("no fused %v head executed (done=%v, err=%v)", tok, done, err)
+		}
+		_, mid, pc, _ := m.CurrentSite()
+		if m.decoded.Methods[mid].Code[pc].Tok == tok {
+			break
+		}
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return fo
+	_, mid, head, _ := m.CurrentSite()
+	for i := 0; i < 2; i++ {
+		before := m.Events()
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Events() != before+1 {
+			t.Fatalf("step %d ran %d events, want 1", i, m.Events()-before)
+		}
+		if i == 0 {
+			if _, m2, pc, ok := m.CurrentSite(); !ok || m2 != mid || pc != head+1 {
+				t.Fatalf("after the head: site m%d pc%d, want the shadow slot m%d pc%d", m2, pc, mid, head+1)
+			}
+		}
+	}
+	if err := m.Run(); err != nil {
+		t.Fatalf("run after stepping: %v", err)
+	}
+	wo, so := string(whole.Output()), string(m.Output())
+	if wo != so {
+		t.Fatalf("output diverged:\nrun:     %q\nstepped: %q", wo, so)
+	}
+	wf, sf := whole.FinalState(), m.FinalState()
+	if len(wf) != len(sf) {
+		t.Fatalf("final state shape diverged: %d vs %d entries", len(wf), len(sf))
+	}
+	for i := range wf {
+		if wf[i] != sf[i] {
+			t.Fatalf("final state diverged: %q vs %q", wf[i], sf[i])
+		}
+	}
+	if whole.Events() != m.Events() {
+		t.Fatalf("event counts diverged: %d vs %d", whole.Events(), m.Events())
+	}
+	return wo
 }
 
 func TestFusedSuperinstructionsGolden(t *testing.T) {
@@ -261,7 +300,7 @@ entry Main.main
 			if n := decodeTokens(p)[tc.tok]; n == 0 {
 				t.Fatalf("pair did not fuse: no %v token in decoded program", tc.tok)
 			}
-			if got := runBoth(t, p); got != tc.want {
+			if got := runStepped(t, p, tc.tok); got != tc.want {
 				t.Fatalf("output = %q, want %q", got, tc.want)
 			}
 		})
@@ -302,7 +341,7 @@ entry Main.main
 			t.Fatalf("cmplt at pc %d fused (token %v) across a jump target", pc, code[pc].Tok)
 		}
 	}
-	if got := runBoth(t, p); got != "100\n" {
+	if got := string(run(t, p, Config{}).Output()); got != "100\n" {
 		t.Fatalf("output = %q, want %q", got, "100\n")
 	}
 }
@@ -310,8 +349,7 @@ entry Main.main
 // TestHaltInNativeCallback pins the callNested fix: a Halt executed
 // inside a native-driven callback cannot unwind the native frame, so the
 // VM must reject it deterministically instead of running past the
-// callback or leaving the stack imbalanced. Both dispatchers reach
-// callNested through the same native entry, and must agree.
+// callback or leaving the stack imbalanced.
 func TestHaltInNativeCallback(t *testing.T) {
 	src := `
 program haltcb
@@ -340,18 +378,15 @@ class Main {
 }
 entry Main.main
 `
-	for _, mode := range []DispatchMode{DispatchAuto, DispatchLegacy} {
-		p := asm(t, src)
-		m, err := New(p, Config{Dispatch: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runErr := m.Run()
-		if runErr == nil {
-			t.Fatalf("dispatch %v: no callback fired in 20 polls; cannot exercise halt-in-callback", mode)
-		}
-		if !strings.Contains(runErr.Error(), "halt inside a native callback") {
-			t.Fatalf("dispatch %v: got %q, want halt-in-callback rejection", mode, runErr)
-		}
+	m, err := New(asm(t, src), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := m.Run()
+	if runErr == nil {
+		t.Fatal("no callback fired in 20 polls; cannot exercise halt-in-callback")
+	}
+	if !strings.Contains(runErr.Error(), "halt inside a native callback") {
+		t.Fatalf("got %q, want halt-in-callback rejection", runErr)
 	}
 }

@@ -39,21 +39,31 @@ func (vm *VM) trap(t *threads.Thread, m *bytecode.Method, pc int, reason error) 
 	return &VMError{ThreadID: t.ID, Method: m.FullName(), PC: pc, Line: line, Reason: reason}
 }
 
-// Run executes until the program halts or errs. With no journal
-// attached (rotation polls at Step boundaries) and dispatch left on
-// auto, the token-threaded fast loop runs whole scheduling slices at a
-// time; otherwise Run drives the reference Step loop. Both produce
-// bit-identical traces, digests and switch schedules.
+// Run executes until the program halts or errs, one scheduling slice at
+// a time through the token-threaded loop (runSlice). With a journal
+// attached, rotation is answered at the same instruction boundaries as
+// under Step (see rotate), so a journal recorded by Run and one recorded
+// by stepping are identical.
 func (vm *VM) Run() error {
-	if vm.cfg.Dispatch == DispatchAuto && vm.cfg.Journal == nil {
-		return vm.runFast()
-	}
+	vm.rotPoll = vm.cfg.Journal != nil
 	for {
-		done, err := vm.Step()
+		// This boundary is Step's: before any dispatching.
+		if vm.rotPoll && vm.rotationDue() {
+			if err := vm.rotate(); err != nil {
+				return err
+			}
+		}
+		done, err := vm.EnsureDispatched()
 		if err != nil {
 			return err
 		}
 		if done {
+			return nil
+		}
+		if err := vm.runSlice(vm.sched.Current()); err != nil {
+			return err
+		}
+		if vm.halted {
 			return nil
 		}
 	}
@@ -62,17 +72,14 @@ func (vm *VM) Run() error {
 // Step executes exactly one instruction (dispatching threads and expiring
 // timers as needed first) and returns done=true when the program has
 // terminated. Debuggers drive the VM through Step so every stop lands on
-// an instruction boundary.
+// an instruction boundary, including the one inside a fused pair.
 func (vm *VM) Step() (done bool, err error) {
 	// Segmented-journal rotation happens here, at the instruction boundary
-	// before any dispatching: the snapshot taken now is exactly the state a
-	// seeded replay restores, and every event the coming dispatch or
+	// before any dispatching, so every event the coming dispatch or
 	// instruction logs lands in the new segment.
-	if vm.cfg.Journal != nil && vm.err == nil && !vm.halted &&
-		vm.nestedDepth == 0 && vm.cfg.Journal.RotatePending() {
-		if err := vm.rotateJournal(); err != nil {
-			vm.err = fmt.Errorf("vm: journal rotation: %w", err)
-			return true, vm.err
+	if vm.cfg.Journal != nil && vm.rotationDue() {
+		if err := vm.rotate(); err != nil {
+			return true, err
 		}
 	}
 	if done, err := vm.EnsureDispatched(); done || err != nil {
@@ -87,32 +94,64 @@ func (vm *VM) Step() (done bool, err error) {
 		vm.err = err
 		return true, err
 	}
-	if e := vm.eng.Err(); e != nil {
-		if errors.Is(e, core.ErrStalled) {
-			// A stall is a watchdog abort, not a divergence: the trace may
-			// be fine and the replay simply stuck.
-			vm.err = fmt.Errorf("vm: %w", e)
-		} else {
-			vm.err = fmt.Errorf("vm: replay diverged after %d events: %w", vm.events, e)
-		}
-		return true, vm.err
+	if err := vm.engineErr(); err != nil {
+		return true, err
 	}
 	return vm.halted, nil
 }
 
-// rotateJournal seals the current journal segment with a checkpoint of the
-// VM as it stands at this instruction boundary. Only meaningful while
-// recording — a replaying VM never rotates (its journal is read-only).
-func (vm *VM) rotateJournal() error {
-	nyp, ok := vm.eng.RecordPos()
-	if !ok {
+// engineErr turns a sticky engine error into the VM's terminal error.
+func (vm *VM) engineErr() error {
+	e := vm.eng.Err()
+	if e == nil {
 		return nil
 	}
-	snap, err := vm.Snapshot()
-	if err != nil {
-		return err
+	if errors.Is(e, core.ErrStalled) {
+		// A stall is a watchdog abort, not a divergence: the trace may be
+		// fine and the replay simply stuck.
+		vm.err = fmt.Errorf("vm: %w", e)
+	} else {
+		vm.err = fmt.Errorf("vm: replay diverged after %d events: %w", vm.events, e)
 	}
-	return vm.cfg.Journal.Rotate(snap.Encode(vm.progHash), vm.events, nyp)
+	return vm.err
+}
+
+// logged notes that the trace may have grown, so a journal's rotation
+// policy must be polled at the next instruction boundary. Only dispatch,
+// natives, yield-point switches and timed blocking write to the trace.
+func (vm *VM) logged() { vm.rotPoll = vm.cfg.Journal != nil }
+
+// rotationDue polls the journal's rotation policy at an instruction
+// boundary. A policy only changes its answer when the trace grows or a
+// rotation happens, so Run polls only after either (rotPoll); Step polls
+// at every boundary.
+func (vm *VM) rotationDue() bool {
+	vm.rotPoll = false
+	return vm.err == nil && !vm.halted && vm.nestedDepth == 0 && vm.cfg.Journal.RotatePending()
+}
+
+// rotate seals the current journal segment with a checkpoint of the VM as
+// it stands at this instruction boundary: the snapshot is exactly the
+// state a seeded replay restores, and every event logged from here on
+// lands in the new segment. When the fresh segment is already due (a
+// byte threshold below the segment header), rotPoll stays set and Run
+// executes the next instruction unfused, so the next boundary is polled
+// even inside a fused pair.
+func (vm *VM) rotate() error {
+	nyp, ok := vm.eng.RecordPos()
+	if !ok {
+		return nil // a replaying VM never rotates: its journal is read-only
+	}
+	snap, err := vm.Snapshot()
+	if err == nil {
+		err = vm.cfg.Journal.Rotate(snap.Encode(vm.progHash), vm.events, nyp)
+	}
+	if err != nil {
+		vm.err = fmt.Errorf("vm: journal rotation: %w", err)
+		return vm.err
+	}
+	vm.rotPoll = vm.cfg.Journal.RotatePending()
+	return nil
 }
 
 // EnsureDispatched brings the VM to a state where CurrentSite is valid —
@@ -145,6 +184,7 @@ func (vm *VM) EnsureDispatched() (done bool, err error) {
 func (vm *VM) dispatch() *threads.Thread {
 	if _, ok := vm.sched.NextWake(); ok {
 		now := vm.eng.ClockRead()
+		vm.logged()
 		if e := vm.eng.Err(); e != nil {
 			vm.err = fmt.Errorf("vm: replay diverged in timer check: %w", e)
 			return nil
@@ -180,22 +220,27 @@ func (vm *VM) dispatch() *threads.Thread {
 type control int
 
 const (
-	ctrlNext   control = iota // fall through to pc+1
+	ctrlNext   control = iota // fall through to the next instruction
 	ctrlJump                  // pc set explicitly
-	ctrlCall                  // new frame pushed; pc handled
+	ctrlCall                  // frame pushed or popped; pc set explicitly
 	ctrlSwitch                // current thread gave up the CPU
 )
 
-// execOne interprets a single instruction of t — one "event" in the
-// paper's model.
 // opHeadroom is the operand-stack margin guaranteed before each
 // instruction: no opcode pushes more than this many values net, so the
 // stack never grows (and the collector never runs) in the middle of an
 // instruction while object addresses sit in interpreter locals.
 const opHeadroom = 4
 
+// execOne interprets a single instruction of t — one "event" in the
+// paper's model — from the decoded stream. It runs the plain handler of
+// the instruction at the frame's pc, never a fused pair, so a fused head
+// executes only its first component and the next call resumes in the
+// pair's shadow slot. Unlike runSlice it keeps nothing in locals: the
+// resume pc and the thread mirrors are flushed after every instruction,
+// which is what lets debuggers stop anywhere.
 func (vm *VM) execOne(t *threads.Thread) error {
-	if vm.h.Len(t.StackSeg)-t.SP < opHeadroom {
+	if vm.stackLen(t)-t.SP < opHeadroom {
 		// Grow at the instruction boundary, where every live value is in
 		// a tagged slot the collector can see and update.
 		if err := vm.growStack(t, opHeadroom+12); err != nil {
@@ -204,35 +249,21 @@ func (vm *VM) execOne(t *threads.Thread) error {
 	}
 	m := vm.frameMethod(t)
 	pc := int(int64(vm.h.LoadWord(t.StackSeg, t.FP+FramePC)))
-	in := m.Code[pc]
-	vm.events++
-	t.EventCount++
-	if vm.cfg.Observer != nil {
-		vm.cfg.Observer.OnStep(t.ID, m.ID, pc, in.Op)
-	}
-
-	ctrl, nextPC, err := vm.dispatchOp(t, m, pc, in)
+	d := &vm.decoded.Methods[m.ID].Code[pc]
+	ctrl, next, err := fastTab[d.Op](vm, t, m, d)
 	if err != nil {
-		return vm.trap(t, m, pc, err)
+		return vm.trapErr(t, m, pc, err)
 	}
-
 	if ctrl == ctrlNext {
-		nextPC = pc + 1
-		ctrl = ctrlJump
+		next = pc + 1
 	}
-	switch ctrl {
-	case ctrlJump, ctrlSwitch:
-		// Save the resume pc — for the running thread, a blocked thread
-		// (it resumes after this instruction), or a preempted one. A
-		// terminated thread has no frame left to update.
-		if t.State != threads.Terminated {
-			vm.h.StoreWord(t.StackSeg, t.FP+FramePC, uint64(int64(nextPC)))
-		}
-	case ctrlCall:
-		// pushFrame already set the callee pc to 0; the caller's header
-		// still holds the call site (return resumes at +1).
+	// Save the resume pc — for the running thread, a blocked thread (it
+	// resumes after this instruction), a preempted one, the callee of a
+	// call (0, as pushFrame left it) or the caller after a return. A
+	// terminated thread has no frame left to update.
+	if t.State != threads.Terminated {
+		vm.flushFramePC(t, next)
 	}
-
 	if t.State == threads.Running {
 		vm.flushMirror(t)
 	} else {
@@ -241,12 +272,26 @@ func (vm *VM) execOne(t *threads.Thread) error {
 	return nil
 }
 
+// trapErr attributes a handler error to the instruction at pc, unless it
+// already carries its own position (a fused second component, or a trap
+// inside a native callback).
+func (vm *VM) trapErr(t *threads.Thread, m *bytecode.Method, pc int, err error) error {
+	var ve *VMError
+	if errors.As(err, &ve) {
+		return err
+	}
+	return vm.trap(t, m, pc, err)
+}
+
 // yieldHere runs the DejaVu yield-point instrumentation; if a preemptive
 // switch is due, the current thread is moved to the back of the ready
 // queue. Inside a nested (callback) interpretation the switch is deferred
 // to the next outer yield point, like a pending threadswitch bit.
 func (vm *VM) yieldHere(t *threads.Thread) (switched bool) {
 	doSwitch := vm.eng.AtYieldPoint(t)
+	if doSwitch {
+		vm.logged() // a recording engine logged the switch
+	}
 	if vm.nestedDepth > 0 {
 		if doSwitch {
 			vm.deferred = true
@@ -264,603 +309,9 @@ func (vm *VM) yieldHere(t *threads.Thread) (switched bool) {
 	return false
 }
 
-// dispatchOp executes one opcode. It returns how control continues and,
-// for ctrlJump/ctrlSwitch, the explicit next pc.
-func (vm *VM) dispatchOp(t *threads.Thread, m *bytecode.Method, pc int, in bytecode.Instr) (control, int, error) {
-	h := vm.h
-	switch in.Op {
-	case bytecode.Nop:
-		return ctrlNext, 0, nil
-
-	case bytecode.IConst:
-		return ctrlNext, 0, vm.push(t, uint64(int64(in.A)), false)
-	case bytecode.LConst:
-		return ctrlNext, 0, vm.push(t, uint64(vm.prog.Ints[in.A]), false)
-	case bytecode.SConst:
-		a, err := vm.intern(vm.prog.Strings[in.A]) // pre-interned: no alloc
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(a), true)
-	case bytecode.Null:
-		return ctrlNext, 0, vm.push(t, 0, true)
-
-	case bytecode.Pop:
-		_, _, err := vm.pop(t)
-		return ctrlNext, 0, err
-	case bytecode.Dup:
-		if t.SP <= t.FP+FrameHeader {
-			return 0, 0, fmt.Errorf("operand stack underflow")
-		}
-		v, tag := vm.slot(t, t.SP-1)
-		return ctrlNext, 0, vm.push(t, v, tag)
-	case bytecode.Swap:
-		b, tb, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, ta, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := vm.push(t, b, tb); err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, a, ta)
-
-	case bytecode.Load:
-		v, tag := vm.slot(t, t.FP+FrameHeader+int(in.A))
-		return ctrlNext, 0, vm.push(t, v, tag)
-	case bytecode.Store:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		vm.setSlot(t, t.FP+FrameHeader+int(in.A), v, tag)
-		return ctrlNext, 0, nil
-
-	case bytecode.Add, bytecode.Sub, bytecode.Mul, bytecode.Div, bytecode.Mod,
-		bytecode.And, bytecode.Or, bytecode.Xor, bytecode.Shl, bytecode.Shr:
-		b, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		r, err := arith(in.Op, a, b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(r), false)
-
-	case bytecode.Neg:
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(-a), false)
-	case bytecode.Not:
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(^a), false)
-
-	case bytecode.CmpEq, bytecode.CmpNe:
-		b, tb, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, ta, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if ta != tb {
-			return 0, 0, fmt.Errorf("type error: comparing reference with primitive")
-		}
-		r := boolWord(a == b)
-		if in.Op == bytecode.CmpNe {
-			r = boolWord(a != b)
-		}
-		return ctrlNext, 0, vm.push(t, r, false)
-
-	case bytecode.CmpLt, bytecode.CmpLe, bytecode.CmpGt, bytecode.CmpGe:
-		b, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		var r bool
-		switch in.Op {
-		case bytecode.CmpLt:
-			r = a < b
-		case bytecode.CmpLe:
-			r = a <= b
-		case bytecode.CmpGt:
-			r = a > b
-		case bytecode.CmpGe:
-			r = a >= b
-		}
-		return ctrlNext, 0, vm.push(t, boolWord(r), false)
-
-	case bytecode.Jmp:
-		return vm.branch(t, pc, int(in.A), true)
-	case bytecode.Jz, bytecode.Jnz:
-		v, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		taken := (v == 0) == (in.Op == bytecode.Jz)
-		if !taken {
-			return ctrlNext, 0, nil
-		}
-		return vm.branch(t, pc, int(in.A), true)
-
-	case bytecode.Ret, bytecode.RetV:
-		var rv uint64
-		var rtag bool
-		if in.Op == bytecode.RetV {
-			var err error
-			rv, rtag, err = vm.pop(t)
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		done, resume, err := vm.popFrame(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if done {
-			vm.sched.Terminate(t)
-			return ctrlSwitch, 0, nil
-		}
-		if in.Op == bytecode.RetV {
-			if err := vm.push(t, rv, rtag); err != nil {
-				return 0, 0, err
-			}
-		}
-		return ctrlJump, resume, nil
-
-	case bytecode.Call:
-		return vm.doCall(t, pc, vm.prog.Methods[in.A], int(in.B))
-	case bytecode.CallV:
-		name := vm.prog.Strings[in.A]
-		nargs := int(in.B)
-		if nargs < 1 {
-			return 0, 0, fmt.Errorf("callv needs a receiver")
-		}
-		if t.SP-nargs < t.FP+FrameHeader {
-			return 0, 0, fmt.Errorf("operand stack underflow")
-		}
-		rv, rtag := vm.slot(t, t.SP-nargs)
-		if !rtag || rv == 0 {
-			return 0, 0, fmt.Errorf("callv %s on null or primitive receiver", name)
-		}
-		if vm.isStub(heap.Addr(rv)) { // §3.4: invokevirtual on a remote object
-			mid, err := vm.remoteCallTarget(heap.Addr(rv), name, nargs)
-			if err != nil {
-				return 0, 0, err
-			}
-			return vm.doCall(t, pc, vm.prog.Methods[mid], nargs)
-		}
-		typeID := h.TypeID(heap.Addr(rv))
-		if h.KindOf(heap.Addr(rv)) != heap.KindObject || typeID >= vm.numClasses {
-			return 0, 0, fmt.Errorf("callv %s receiver is not a program object", name)
-		}
-		target, ok := vm.prog.Classes[typeID].Method(name)
-		if !ok {
-			return 0, 0, fmt.Errorf("class %s has no method %s", vm.prog.Classes[typeID].Name, name)
-		}
-		if target.NArgs != nargs {
-			return 0, 0, fmt.Errorf("callv %s: %d args passed, %d expected", name, nargs, target.NArgs)
-		}
-		return vm.doCall(t, pc, target, nargs)
-
-	case bytecode.Native:
-		return vm.doNative(t, vm.prog.Strings[in.A], int(in.B))
-
-	case bytecode.New:
-		a, err := vm.allocObject(int(in.A), len(vm.prog.Classes[in.A].Fields))
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(a), true)
-
-	case bytecode.GetF:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		slotIdx := int(in.A)
-		if vm.isStub(obj) { // §3.4: getf extended to remote objects
-			v, tag, err := vm.remoteGetF(obj, slotIdx)
-			if err != nil {
-				return 0, 0, err
-			}
-			return ctrlNext, 0, vm.push(t, v, tag)
-		}
-		isRef, err := vm.fieldRefness(obj, slotIdx)
-		if err != nil {
-			return 0, 0, err
-		}
-		v := h.LoadWord(obj, slotIdx)
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, slotIdx, false, v)
-		}
-		return ctrlNext, 0, vm.push(t, v, isRef)
-
-	case bytecode.PutF:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		slotIdx := int(in.A)
-		if vm.isStub(obj) {
-			return 0, 0, fmt.Errorf("remote objects are read-only (putf on stub)")
-		}
-		isRef, err := vm.fieldRefness(obj, slotIdx)
-		if err != nil {
-			return 0, 0, err
-		}
-		if isRef != tag {
-			return 0, 0, fmt.Errorf("type error: storing %s into %s field", valKind(tag), valKind(isRef))
-		}
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, slotIdx, true, v)
-		}
-		h.StoreWord(obj, slotIdx, v)
-		return ctrlNext, 0, nil
-
-	case bytecode.GetS:
-		obj := vm.staticsObj[in.A]
-		isRef := vm.prog.Classes[in.A].Statics[in.B].IsRef
-		v := h.LoadWord(obj, int(in.B))
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, int(in.B), false, v)
-		}
-		return ctrlNext, 0, vm.push(t, v, isRef)
-
-	case bytecode.PutS:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		isRef := vm.prog.Classes[in.A].Statics[in.B].IsRef
-		if isRef != tag {
-			return 0, 0, fmt.Errorf("type error: storing %s into %s static", valKind(tag), valKind(isRef))
-		}
-		obj := vm.staticsObj[in.A]
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, int(in.B), true, v)
-		}
-		h.StoreWord(obj, int(in.B), v)
-		return ctrlNext, 0, nil
-
-	case bytecode.NewArr:
-		n, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if n < 0 || n > 1<<28 {
-			return 0, 0, fmt.Errorf("bad array length %d", n)
-		}
-		var kind heap.Kind
-		switch in.A {
-		case bytecode.KindInt64:
-			kind = heap.KindInt64Arr
-		case bytecode.KindRef:
-			kind = heap.KindRefArr
-		case bytecode.KindByte:
-			kind = heap.KindByteArr
-		}
-		a, err := vm.allocArray(kind, int(n))
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(a), true)
-
-	case bytecode.ALoad:
-		idx, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		arr, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(arr) { // §3.4: aload extended to remote arrays
-			v, tag, err := vm.remoteALoad(arr, int(idx))
-			if err != nil {
-				return 0, 0, err
-			}
-			return ctrlNext, 0, vm.push(t, v, tag)
-		}
-		if err := h.CheckBounds(arr, int(idx)); err != nil {
-			return 0, 0, err
-		}
-		var v uint64
-		var tag bool
-		switch h.KindOf(arr) {
-		case heap.KindInt64Arr:
-			v = h.LoadWord(arr, int(idx))
-		case heap.KindRefArr:
-			v, tag = h.LoadWord(arr, int(idx)), true
-		case heap.KindByteArr:
-			v = uint64(h.LoadByte(arr, int(idx)))
-		default:
-			return 0, 0, fmt.Errorf("aload on non-array")
-		}
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, arr, int(idx), false, v)
-		}
-		return ctrlNext, 0, vm.push(t, v, tag)
-
-	case bytecode.AStore:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		idx, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		arr, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(arr) {
-			return 0, 0, fmt.Errorf("remote objects are read-only (astore on stub)")
-		}
-		if err := h.CheckBounds(arr, int(idx)); err != nil {
-			return 0, 0, err
-		}
-		switch h.KindOf(arr) {
-		case heap.KindInt64Arr:
-			if tag {
-				return 0, 0, fmt.Errorf("type error: reference into int array")
-			}
-			h.StoreWord(arr, int(idx), v)
-		case heap.KindRefArr:
-			if !tag {
-				return 0, 0, fmt.Errorf("type error: primitive into ref array")
-			}
-			h.StoreWord(arr, int(idx), v)
-		case heap.KindByteArr:
-			if tag {
-				return 0, 0, fmt.Errorf("type error: reference into byte array")
-			}
-			h.StoreByte(arr, int(idx), byte(v))
-		default:
-			return 0, 0, fmt.Errorf("astore on non-array")
-		}
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, arr, int(idx), true, v)
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.ArrLen:
-		arr, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(arr) { // §3.4: arrlen extended to remote arrays
-			_, _, length, kind := vm.stubMeta(arr)
-			if kind == heap.KindObject {
-				return 0, 0, fmt.Errorf("remote arrlen on non-array")
-			}
-			return ctrlNext, 0, vm.push(t, uint64(length), false)
-		}
-		if h.KindOf(arr) == heap.KindObject {
-			return 0, 0, fmt.Errorf("arrlen on non-array")
-		}
-		return ctrlNext, 0, vm.push(t, uint64(h.Len(arr)), false)
-
-	case bytecode.InstOf:
-		a, err := vm.popRef(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(a) { // §3.4: instof consults the remote type
-			_, typeID, _, kind := vm.stubMeta(a)
-			r := kind == heap.KindObject && typeID == int(in.A)
-			return ctrlNext, 0, vm.push(t, boolWord(r), false)
-		}
-		r := a != 0 && h.KindOf(a) == heap.KindObject && h.TypeID(a) == int(in.A)
-		return ctrlNext, 0, vm.push(t, boolWord(r), false)
-
-	case bytecode.MonEnter:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(obj) {
-			return 0, 0, fmt.Errorf("cannot synchronize on a remote object")
-		}
-		if vm.cfg.SyncHook != nil {
-			vm.cfg.SyncHook.OnMonitor(t.ID, obj, true)
-		}
-		if !vm.sched.MonEnter(t, obj) {
-			if vm.nestedDepth > 0 {
-				return 0, 0, fmt.Errorf("blocking monitorenter inside a native callback")
-			}
-			return ctrlNext, 0, nil // blocked; pc+1 saved for resume
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.MonExit:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := vm.sched.MonExit(t, obj); err != nil {
-			return 0, 0, err
-		}
-		if vm.cfg.SyncHook != nil {
-			vm.cfg.SyncHook.OnMonitor(t.ID, obj, false)
-		}
-		vm.flushAllMirrors()
-		return ctrlNext, 0, nil
-
-	case bytecode.Wait, bytecode.TimedWait:
-		if vm.nestedDepth > 0 {
-			return 0, 0, fmt.Errorf("blocking wait inside a native callback")
-		}
-		wakeAt := int64(-1)
-		if in.Op == bytecode.TimedWait {
-			millis, err := vm.popPrim(t)
-			if err != nil {
-				return 0, 0, err
-			}
-			if millis < 0 {
-				millis = 0
-			}
-			wakeAt = vm.eng.ClockRead() + millis
-		}
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := vm.sched.Wait(t, obj, wakeAt); err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.Notify, bytecode.NotifyAll:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if in.Op == bytecode.Notify {
-			_, err = vm.sched.Notify(t, obj)
-		} else {
-			_, err = vm.sched.NotifyAll(t, obj)
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		vm.flushAllMirrors()
-		return ctrlNext, 0, nil
-
-	case bytecode.Spawn:
-		target := vm.prog.Methods[in.A]
-		nargs := int(in.B)
-		if t.SP-nargs < t.FP+FrameHeader {
-			return 0, 0, fmt.Errorf("operand stack underflow")
-		}
-		nt, err := vm.spawnThread(target.ID, t, t.SP-nargs)
-		if err != nil {
-			return 0, 0, err
-		}
-		// Pop the arguments now that they are copied.
-		for i := 0; i < nargs; i++ {
-			if _, _, err := vm.pop(t); err != nil {
-				return 0, 0, err
-			}
-		}
-		return ctrlNext, 0, vm.push(t, uint64(nt.ID), false)
-
-	case bytecode.ThreadID:
-		return ctrlNext, 0, vm.push(t, uint64(t.ID), false)
-
-	case bytecode.YieldOp:
-		// A voluntary yield is a deterministic thread switch: both modes
-		// take it identically, so nothing is recorded.
-		if vm.nestedDepth > 0 {
-			return ctrlNext, 0, nil
-		}
-		vm.sched.Preempt(t)
-		return ctrlSwitch, pc + 1, nil
-
-	case bytecode.Sleep:
-		if vm.nestedDepth > 0 {
-			return 0, 0, fmt.Errorf("blocking sleep inside a native callback")
-		}
-		millis, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if millis < 0 {
-			millis = 0
-		}
-		vm.sched.Sleep(t, vm.eng.ClockRead()+millis)
-		return ctrlNext, 0, nil
-
-	case bytecode.Interrupt:
-		tid, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		target, ok := vm.sched.Thread(int(tid))
-		if !ok {
-			return 0, 0, fmt.Errorf("interrupt of unknown thread %d", tid)
-		}
-		vm.sched.Interrupt(target)
-		vm.flushAllMirrors()
-		return ctrlNext, 0, nil
-
-	case bytecode.Print:
-		v, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		vm.printInt(v)
-		return ctrlNext, 0, nil
-
-	case bytecode.PrintS:
-		a, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(a) { // §3.4: remote strings print transparently
-			b, err := vm.remoteBytes(a)
-			if err != nil {
-				return 0, 0, err
-			}
-			vm.writeOutput(append(b, '\n'))
-			return ctrlNext, 0, nil
-		}
-		if h.KindOf(a) != heap.KindByteArr {
-			return 0, 0, fmt.Errorf("prints on non-string")
-		}
-		vm.printBuf = append(vm.printBuf[:0], h.Bytes(a)...)
-		vm.printBuf = append(vm.printBuf, '\n')
-		vm.writeOutput(vm.printBuf)
-		return ctrlNext, 0, nil
-
-	case bytecode.Assert:
-		v, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if v == 0 {
-			return 0, 0, fmt.Errorf("assertion failed")
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.Halt:
-		vm.halted = true
-		return ctrlNext, 0, nil
-
-	default:
-		return 0, 0, fmt.Errorf("unimplemented opcode %s", in.Op)
-	}
-}
-
 // branch handles a taken jump. A backward jump is a loop backedge and
 // therefore a yield point (Jalapeño's placement).
-func (vm *VM) branch(t *threads.Thread, pc, target int, taken bool) (control, int, error) {
-	if !taken {
-		return ctrlNext, 0, nil
-	}
+func (vm *VM) branch(t *threads.Thread, pc, target int) (control, int, error) {
 	if target <= pc { // loop backedge: yield point
 		if vm.yieldHere(t) {
 			return ctrlSwitch, target, nil

@@ -87,16 +87,6 @@ func nativeID(name string) int {
 	return -1
 }
 
-// doNative dispatches a Native instruction by name (legacy switch loop;
-// the fast path pre-resolves the id at decode time).
-func (vm *VM) doNative(t *threads.Thread, name string, nargs int) (control, int, error) {
-	id := nativeID(name)
-	if id < 0 {
-		return 0, 0, fmt.Errorf("unknown native %q", name)
-	}
-	return vm.doNativeID(t, id, nargs)
-}
-
 // doNativeID dispatches a Native instruction by its registry id. Recorded
 // natives return their results through the VM's scratch buffer: the trace
 // sink encodes the slice before returning, so nothing retains it.

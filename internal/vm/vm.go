@@ -122,30 +122,11 @@ type Config struct {
 	Verify bool
 
 	// Journal, when set on a recording VM, drives segmented-journal
-	// rotation: Step polls RotatePending at instruction boundaries and
+	// rotation: the VM polls RotatePending at instruction boundaries and
 	// answers with Rotate. The engine's TraceSink should be the same
 	// object, so the sealed segments and the checkpoints stay in step.
 	Journal JournalSink
-
-	// Dispatch selects the interpreter loop Run uses. The default
-	// (DispatchAuto) takes the token-threaded fast path whenever no
-	// journal is attached; DispatchLegacy forces the reference switch
-	// loop, which the cross-dispatch differential harness uses as its
-	// oracle. Step always uses the legacy loop — debuggers need its
-	// strict one-instruction-per-call contract.
-	Dispatch DispatchMode
 }
-
-// DispatchMode selects Run's interpreter loop.
-type DispatchMode int
-
-const (
-	// DispatchAuto uses token-threaded dispatch when possible (no
-	// journal attached), falling back to the legacy loop otherwise.
-	DispatchAuto DispatchMode = iota
-	// DispatchLegacy forces the reference dispatchOp switch loop.
-	DispatchLegacy
-)
 
 // VM is one virtual machine instance executing one program.
 type VM struct {
@@ -191,11 +172,12 @@ type VM struct {
 	err         error
 	nestedDepth int
 	deferred    bool // a preemption requested inside a nested call
+	rotPoll     bool // the trace grew or rotated since Run last polled the journal
 
-	// decoded is the token-threaded instruction stream, built lazily on
-	// the first fast Run. It is per-VM (inline caches are warmed in
-	// place) and derived purely from program identity, so it is never
-	// invalidated by replay state.
+	// decoded is the token-threaded instruction stream every instruction
+	// executes from. It is per-VM (inline caches are warmed in place) and
+	// derived purely from program identity, so it is never invalidated by
+	// replay state.
 	decoded *bytecode.DecodedProgram
 
 	// Reusable scratch buffers that keep the record hot path
@@ -205,7 +187,7 @@ type VM struct {
 	cbBuf    [2]int64
 	printBuf []byte
 
-	// One-entry stack-segment length cache for the fast path's headroom
+	// One-entry stack-segment length cache for the interpreter's headroom
 	// checks (see stackLen in fastpath.go).
 	segAddr heap.Addr
 	segGen  int
@@ -288,6 +270,7 @@ func New(prog *bytecode.Program, cfg Config) (*VM, error) {
 	if err := vm.loadMirrors(); err != nil {
 		return nil, fmt.Errorf("vm: loading mirrors: %w", err)
 	}
+	vm.buildDecoded()
 	if err := vm.eng.Begin(vm); err != nil {
 		return nil, fmt.Errorf("vm: engine init: %w", err)
 	}
