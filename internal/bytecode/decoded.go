@@ -71,8 +71,9 @@ type DInstr struct {
 
 // DecodedMethod is one method's decoded code, indexed by original pc.
 // Shadow slots (the second instruction of a fused pair) keep their
-// plain decoding; they are unreachable because fusion never consumes a
-// jump target and a fused handler advances pc by 2.
+// plain decoding. No branch lands on one, since fusion never consumes a
+// jump target, but an interpreter that runs a fused head's components
+// one at a time (a debugger's single step) resumes there.
 type DecodedMethod struct {
 	Code []DInstr
 }

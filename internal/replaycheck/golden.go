@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-
-	"dejavu/internal/trace"
 )
 
 // GoldensFile is the corpus location relative to the repository root.
@@ -71,8 +69,8 @@ type CheckpointGolden struct {
 	SHA256   string `json:"sha256"`
 }
 
-// sha256Hex returns the hex sha256 of b.
-func sha256Hex(b []byte) string {
+// SHA256Hex returns the hex sha256 of b.
+func SHA256Hex(b []byte) string {
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])
 }
@@ -86,37 +84,15 @@ func FingerprintRun(workload string, seed int64, rec *Result, replayDigest uint6
 	return RunGolden{
 		Workload:     workload,
 		Seed:         seed,
-		TraceSHA256:  sha256Hex(rec.Trace),
+		TraceSHA256:  SHA256Hex(rec.Trace),
 		TraceLen:     len(rec.Trace),
-		OutputSHA256: sha256Hex(rec.Output),
+		OutputSHA256: SHA256Hex(rec.Output),
 		Events:       rec.Events,
 		Switches:     rec.Digest.Switches(),
 		RecordDigest: DigestHex(rec.Digest.Sum()),
 		ReplayDigest: DigestHex(replayDigest),
-		FinalState:   sha256Hex([]byte(strings.Join(rec.VM.FinalState(), "\n"))),
+		FinalState:   SHA256Hex([]byte(strings.Join(rec.VM.FinalState(), "\n"))),
 	}
-}
-
-// JournalLayout reads the journal stored on fs into its golden form.
-func JournalLayout(name string, fs trace.FS) (JournalGolden, error) {
-	j, err := trace.OpenJournal(fs)
-	if err != nil {
-		return JournalGolden{}, err
-	}
-	g := JournalGolden{Name: name, Origin: j.Origin(), Complete: j.Complete()}
-	for _, s := range j.Manifest.Segments {
-		g.Segments = append(g.Segments, SegmentGolden{Events: s.Events, Switches: s.Switches})
-	}
-	for _, info := range j.Manifest.Checkpoints {
-		ck, err := j.LoadCheckpoint(info)
-		if err != nil {
-			return JournalGolden{}, err
-		}
-		g.Checkpoints = append(g.Checkpoints, CheckpointGolden{
-			Index: ck.Index, VMEvents: ck.VMEvents, NYP: ck.BoundaryNYP, SHA256: sha256Hex(ck.State),
-		})
-	}
-	return g, nil
 }
 
 // ReadGoldens loads a corpus written by the goldens generator.

@@ -11,6 +11,7 @@ import (
 	"dejavu/internal/faults/memfs"
 	"dejavu/internal/flightrec"
 	"dejavu/internal/replaycheck"
+	"dejavu/internal/trace"
 	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
@@ -118,7 +119,7 @@ func goldenJournal(c journalCase) (replaycheck.JournalGolden, error) {
 	if err != nil || res.RunErr != nil {
 		return replaycheck.JournalGolden{}, fmt.Errorf("record journal: %v %v", err, res.RunErr)
 	}
-	return replaycheck.JournalLayout(c.name, fs)
+	return journalLayout(c.name, fs)
 }
 
 // goldenFlight records server through a flight ring small enough to
@@ -139,7 +140,7 @@ func goldenFlight() (replaycheck.JournalGolden, error) {
 	if _, err := ring.FlushTo(fs, "golden"); err != nil {
 		return replaycheck.JournalGolden{}, err
 	}
-	return replaycheck.JournalLayout("server/flight-window-32", fs)
+	return journalLayout("server/flight-window-32", fs)
 }
 
 // readGoldens loads the corpus and checks it covers what the generator
@@ -202,6 +203,28 @@ func TestGoldenJournals(t *testing.T) {
 		}
 		checkLayout(t, got, g.Journals[len(cases)])
 	})
+}
+
+// journalLayout reads the journal stored on fs into its golden form.
+func journalLayout(name string, fs trace.FS) (replaycheck.JournalGolden, error) {
+	j, err := trace.OpenJournal(fs)
+	if err != nil {
+		return replaycheck.JournalGolden{}, err
+	}
+	g := replaycheck.JournalGolden{Name: name, Origin: j.Origin(), Complete: j.Complete()}
+	for _, s := range j.Manifest.Segments {
+		g.Segments = append(g.Segments, replaycheck.SegmentGolden{Events: s.Events, Switches: s.Switches})
+	}
+	for _, info := range j.Manifest.Checkpoints {
+		ck, err := j.LoadCheckpoint(info)
+		if err != nil {
+			return replaycheck.JournalGolden{}, err
+		}
+		g.Checkpoints = append(g.Checkpoints, replaycheck.CheckpointGolden{
+			Index: ck.Index, VMEvents: ck.VMEvents, NYP: ck.BoundaryNYP, SHA256: replaycheck.SHA256Hex(ck.State),
+		})
+	}
+	return g, nil
 }
 
 func checkLayout(t *testing.T, got, want replaycheck.JournalGolden) {
